@@ -4,11 +4,15 @@ GO ?= go
 
 all: tier1
 
-# Tier-1 gate: everything must build, vet clean, and pass tests.
+# Tier-1 gate: everything must be gofmt-clean, build, vet clean, and pass
+# tests, and all 22 TPC-H results must match the benchmark's committed
+# reference answers (perfbench is a separate module, so ./... skips it).
 tier1:
+	test -z "$$(gofmt -l .)"
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test -count=1 -run 'TestReference|TestWrongResultCounted' ./...
 
 # Tier-2 gate: the slow suites tier1 deliberately leaves out — the chaos
 # harness (seeded fault schedules under the race detector, including the

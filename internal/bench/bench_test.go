@@ -71,10 +71,10 @@ func TestTableFormatting(t *testing.T) {
 
 func TestFmtBytes(t *testing.T) {
 	cases := map[int64]string{
-		512:      "512B",
-		2048:     "2.0KB",
-		5 << 20:  "5.0MB",
-		3 << 30:  "3.00GB",
+		512:     "512B",
+		2048:    "2.0KB",
+		5 << 20: "5.0MB",
+		3 << 30: "3.00GB",
 	}
 	for in, want := range cases {
 		if got := fmtBytes(in); got != want {

@@ -29,15 +29,15 @@ func runHWCost(w io.Writer, o Options) error {
 	fmt.Fprintln(w, "30 TB storage configurations (January 2024 prices, from the paper):")
 	t := newTable("Configuration", "Price $", "Capacity TB", "Read GB/s", "Write GB/s", "$/TB")
 	rows := []struct {
-		name          string
-		price         float64
-		capacity      float64
-		read, write   float64
+		name        string
+		price       float64
+		capacity    float64
+		read, write float64
 	}{
-		{"16x1.9 TB PCIe 5 SSD", 6832, 30.7, 176, 88},   // the paper's table transposes
-		{"8x3.8 TB PCIe 5 SSD", 5376, 30.7, 88, 49.6},   // read/write columns; we report
-		{"4x7.7 TB PCIe 5 SSD", 4620, 30.7, 44, 24.8},   // bandwidth = devices x CM7-class
-		{"8x3.8 TB PCIe 4 SSD", 5032, 30.7, 52, 28},     // per-device figures.
+		{"16x1.9 TB PCIe 5 SSD", 6832, 30.7, 176, 88}, // the paper's table transposes
+		{"8x3.8 TB PCIe 5 SSD", 5376, 30.7, 88, 49.6}, // read/write columns; we report
+		{"4x7.7 TB PCIe 5 SSD", 4620, 30.7, 44, 24.8}, // bandwidth = devices x CM7-class
+		{"8x3.8 TB PCIe 4 SSD", 5032, 30.7, 52, 28},   // per-device figures.
 		{"8x3.8 TB PCIe 3 SSD", 3592, 30.7, 24, 16},
 	}
 	for _, r := range rows {

@@ -272,12 +272,12 @@ func benchCodec(b *testing.B, id ID, compress bool) {
 	}
 }
 
-func BenchmarkCompressLZ4A8(b *testing.B)     { benchCodec(b, LZ4Fastest, true) }
-func BenchmarkCompressLZ4(b *testing.B)       { benchCodec(b, LZ4Default, true) }
-func BenchmarkCompressLZ4HC16(b *testing.B)   { benchCodec(b, LZ4HC16, true) }
-func BenchmarkCompressSnappy(b *testing.B)    { benchCodec(b, Snappy, true) }
-func BenchmarkCompressDeflate1(b *testing.B)  { benchCodec(b, Deflate1, true) }
-func BenchmarkCompressDeflate6(b *testing.B)  { benchCodec(b, Deflate6, true) }
-func BenchmarkCompressBWT(b *testing.B)       { benchCodec(b, BWT, true) }
-func BenchmarkDecompressLZ4(b *testing.B)     { benchCodec(b, LZ4Default, false) }
+func BenchmarkCompressLZ4A8(b *testing.B)      { benchCodec(b, LZ4Fastest, true) }
+func BenchmarkCompressLZ4(b *testing.B)        { benchCodec(b, LZ4Default, true) }
+func BenchmarkCompressLZ4HC16(b *testing.B)    { benchCodec(b, LZ4HC16, true) }
+func BenchmarkCompressSnappy(b *testing.B)     { benchCodec(b, Snappy, true) }
+func BenchmarkCompressDeflate1(b *testing.B)   { benchCodec(b, Deflate1, true) }
+func BenchmarkCompressDeflate6(b *testing.B)   { benchCodec(b, Deflate6, true) }
+func BenchmarkCompressBWT(b *testing.B)        { benchCodec(b, BWT, true) }
+func BenchmarkDecompressLZ4(b *testing.B)      { benchCodec(b, LZ4Default, false) }
 func BenchmarkDecompressDeflate6(b *testing.B) { benchCodec(b, Deflate6, false) }

@@ -35,9 +35,9 @@ func buildTable(t *testing.T, rows, groupSize int) *MemTable {
 	b := data.NewBatch(schema, rows)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < rows; i++ {
-		b.Cols[0].I = append(b.Cols[0].I, int64(i))          // delta-friendly
-		b.Cols[1].I = append(b.Cols[1].I, int64(i%5))        // rle-friendly-ish
-		b.Cols[2].F = append(b.Cols[2].F, float64(i)*1.5)    // raw floats
+		b.Cols[0].I = append(b.Cols[0].I, int64(i))                     // delta-friendly
+		b.Cols[1].I = append(b.Cols[1].I, int64(i%5))                   // rle-friendly-ish
+		b.Cols[2].F = append(b.Cols[2].F, float64(i)*1.5)               // raw floats
 		b.Cols[3].S = append(b.Cols[3].S, []string{"A", "N", "R"}[i%3]) // dict
 		b.Cols[4].S = append(b.Cols[4].S, fmt.Sprintf("comment-%d-%d", i, rng.Intn(100)))
 	}

@@ -160,8 +160,8 @@ func (r *Regulator) adjust() {
 		// run's completions will tell us which way to move.
 		return
 	}
-	ratio := r.outBytes / r.rawBytes            // compressed fraction
-	ioCostPerRaw := r.ioNs / r.ioBytes * ratio  // ns per *source* byte at current ratio
+	ratio := r.outBytes / r.rawBytes           // compressed fraction
+	ioCostPerRaw := r.ioNs / r.ioBytes * ratio // ns per *source* byte at current ratio
 	switch {
 	case ioCostPerRaw > cpuCost*regUpThreshold && r.level < len(r.scale)-1:
 		r.level++

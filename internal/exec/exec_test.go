@@ -2,7 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -375,8 +378,8 @@ func TestJoinModesEquivalent(t *testing.T) {
 	for _, kind := range []JoinKind{Inner, Semi, Anti, Outer} {
 		ref := joinRowSet(t, runJoin(t, testCtx(2), kind, false, 8000, 70))
 		configs := map[string]func() *data.Batch{
-			"spill": func() *data.Batch { return runJoin(t, spillCtx(2, 96), kind, false, 8000, 70) },
-			"grace": func() *data.Batch { return runJoin(t, testCtx(2), kind, true, 8000, 70) },
+			"spill":       func() *data.Batch { return runJoin(t, spillCtx(2, 96), kind, false, 8000, 70) },
+			"grace":       func() *data.Batch { return runJoin(t, testCtx(2), kind, true, 8000, 70) },
 			"grace-spill": func() *data.Batch { return runJoin(t, spillCtx(2, 96), kind, true, 8000, 70) },
 			"always-partition": func() *data.Batch {
 				ctx := testCtx(2)
@@ -571,6 +574,208 @@ func TestAggModesEquivalent(t *testing.T) {
 	ctx.Mode = core.ModeAlwaysPartition
 	if !sameRowSet(refSet, joinRowSet(t, runAgg(t, ctx, true, 12000))) {
 		t.Fatal("always-partition aggregation differs")
+	}
+}
+
+// batchSource streams a prebuilt batch in fixed-size chunks shared across
+// workers. Unlike MemTable it carries NULLs, so tests can group on them.
+type batchSource struct {
+	b     *data.Batch
+	chunk int
+}
+
+func (s *batchSource) Schema() *data.Schema { return s.b.Schema }
+
+func (s *batchSource) Run(ctx *Ctx) (*Stream, error) {
+	var cursor atomic.Int64
+	return &Stream{
+		schema: s.b.Schema,
+		next: func(w int, b *data.Batch) (int, error) {
+			lo := int(cursor.Add(int64(s.chunk))) - s.chunk
+			if lo >= s.b.Len() {
+				return 0, nil
+			}
+			hi := min(lo+s.chunk, s.b.Len())
+			b.Reset()
+			for r := lo; r < hi; r++ {
+				b.AppendRowFrom(s.b, r)
+			}
+			return hi - lo, nil
+		},
+	}, nil
+}
+
+// keyTypesInput builds n rows of (ki int, ks string, kf float, v float,
+// s string). Each key column draws from a few thousand values plus the
+// edge cases grouping must keep apart or together: NULLs (whose slot
+// values vary, so equality must ignore them), "" next to NULL strings,
+// +0.0 next to -0.0, and NaNs of two bit patterns.
+func keyTypesInput(n int) *data.Batch {
+	schema := data.NewSchema(
+		data.ColumnDef{Name: "ki", Type: data.Int64},
+		data.ColumnDef{Name: "ks", Type: data.String},
+		data.ColumnDef{Name: "kf", Type: data.Float64},
+		data.ColumnDef{Name: "v", Type: data.Float64},
+		data.ColumnDef{Name: "s", Type: data.String},
+	)
+	b := data.NewBatch(schema, n)
+	for c := 0; c < 3; c++ {
+		b.Cols[c].Null = make([]bool, n)
+	}
+	nan2 := math.Float64frombits(0x7ff8000000000001)
+	for i := 0; i < n; i++ {
+		ki := int64(i % 2999)
+		if i%17 == 0 {
+			ki = int64(i) // NULL below: the slot value must not matter
+			b.Cols[0].Null[i] = true
+		}
+		ks := fmt.Sprintf("s%d", i%3001)
+		switch i % 11 {
+		case 0:
+			ks = ""
+		case 1:
+			ks = fmt.Sprintf("null%d", i)
+			b.Cols[1].Null[i] = true
+		}
+		kf := float64(i%2003) * 0.25
+		switch i % 23 {
+		case 0:
+			kf = 0
+		case 1:
+			kf = math.Copysign(0, -1)
+		case 2:
+			kf = math.NaN()
+		case 3:
+			kf = nan2
+		case 4:
+			kf = float64(i)
+			b.Cols[2].Null[i] = true
+		}
+		b.Cols[0].I = append(b.Cols[0].I, ki)
+		b.Cols[1].S = append(b.Cols[1].S, ks)
+		b.Cols[2].F = append(b.Cols[2].F, kf)
+		b.Cols[3].F = append(b.Cols[3].F, float64(i%7))
+		b.Cols[4].S = append(b.Cols[4].S, fmt.Sprintf("m%05d", (i*7919)%10007))
+	}
+	b.SetLen(n)
+	return b
+}
+
+// aggKeyOf renders the key columns of row r as a map key: NULL matches
+// NULL, floats compare by their bits.
+func aggKeyOf(b *data.Batch, cols []int, r int) string {
+	var sb strings.Builder
+	for _, c := range cols {
+		col := &b.Cols[c]
+		if col.Null != nil && col.Null[r] {
+			sb.WriteString("|N")
+			continue
+		}
+		switch col.Type {
+		case data.Float64:
+			fmt.Fprintf(&sb, "|f%x", math.Float64bits(col.F[r]))
+		case data.String:
+			fmt.Fprintf(&sb, "|s%q", col.S[r])
+		default:
+			fmt.Fprintf(&sb, "|i%d", col.I[r])
+		}
+	}
+	return sb.String()
+}
+
+type keyTypesGroup struct {
+	cnt      int64
+	sum      float64
+	min, max string
+}
+
+// TestAggKeyTypes checks phase-2 merge key semantics for every key type
+// against groups computed with a plain Go map, in memory, spilling, without
+// pre-aggregation and on one worker. It pins the float grouping: -0.0 and
+// +0.0 are separate groups, NaNs with the same bit pattern are one group.
+func TestAggKeyTypes(t *testing.T) {
+	cases := []struct {
+		name    string
+		rows    int
+		groupBy []string
+	}{
+		{"string", 40000, []string{"ks"}},
+		{"int+string", 40000, []string{"ki", "ks"}},
+		{"null-int", 40000, []string{"ki"}},
+		{"float", 40000, []string{"kf"}},
+		// ~107k distinct (ks, kf) pairs: spilled partition tables, sized
+		// from their few in-memory tuples, double several times.
+		{"high-cardinality", 140000, []string{"ks", "kf"}},
+	}
+	modes := []struct {
+		name string
+		ctx  func() *Ctx
+	}{
+		{"in-memory", func() *Ctx { return testCtx(2) }},
+		{"spill", func() *Ctx { return spillCtx(2, 48) }},
+		{"no-pre-agg", func() *Ctx { ctx := testCtx(2); ctx.NoPreAgg = true; return ctx }},
+		{"single", func() *Ctx { return testCtx(1) }},
+	}
+	for _, tc := range cases {
+		in := keyTypesInput(tc.rows)
+		keyCols := indicesOf(in.Schema, tc.groupBy)
+		want := map[string]*keyTypesGroup{}
+		for r := 0; r < in.Len(); r++ {
+			k := aggKeyOf(in, keyCols, r)
+			g := want[k]
+			s := in.Cols[4].S[r]
+			if g == nil {
+				g = &keyTypesGroup{min: s, max: s}
+				want[k] = g
+			}
+			g.cnt++
+			g.sum += in.Cols[3].F[r]
+			g.min = min(g.min, s)
+			g.max = max(g.max, s)
+		}
+		if tc.name == "high-cardinality" && len(want) < 100000 {
+			t.Fatalf("high-cardinality input has only %d groups", len(want))
+		}
+		for _, m := range modes {
+			ctx := m.ctx()
+			agg := NewAgg(&batchSource{b: in, chunk: 1024}, tc.groupBy, []AggSpec{
+				{Func: CountStar, As: "cnt"},
+				{Func: Sum, Col: "v", As: "sum_v"},
+				{Func: Min, Col: "s", As: "min_s"},
+				{Func: Max, Col: "s", As: "max_s"},
+			})
+			out, err := Collect(ctx, agg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, m.name, err)
+			}
+			if m.name == "spill" && ctx.Stats.SpilledBytes.Load() == 0 {
+				t.Fatalf("%s: aggregation under a 48KB budget did not spill", tc.name)
+			}
+			nk := len(tc.groupBy)
+			outKeys := make([]int, nk)
+			for i := range outKeys {
+				outKeys[i] = i
+			}
+			if out.Len() != len(want) {
+				t.Fatalf("%s/%s: %d groups, want %d", tc.name, m.name, out.Len(), len(want))
+			}
+			seen := map[string]bool{}
+			for r := 0; r < out.Len(); r++ {
+				k := aggKeyOf(out, outKeys, r)
+				if seen[k] {
+					t.Fatalf("%s/%s: group %s emitted twice", tc.name, m.name, k)
+				}
+				seen[k] = true
+				g := want[k]
+				if g == nil {
+					t.Fatalf("%s/%s: unexpected group %s", tc.name, m.name, k)
+				}
+				got := keyTypesGroup{out.Cols[nk].I[r], out.Cols[nk+1].F[r], out.Cols[nk+2].S[r], out.Cols[nk+3].S[r]}
+				if got != *g {
+					t.Fatalf("%s/%s: group %s = %+v, want %+v", tc.name, m.name, k, got, *g)
+				}
+			}
+		}
 	}
 }
 

@@ -467,8 +467,8 @@ func (h *mergeHeap) Less(i, j int) bool {
 	}
 	return false
 }
-func (h *mergeHeap) Swap(i, j int)       { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x interface{})  { h.items = append(h.items, x.(mergeItem)) }
+func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(mergeItem)) }
 func (h *mergeHeap) Pop() interface{} {
 	old := h.items
 	n := len(old)

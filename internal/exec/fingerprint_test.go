@@ -109,7 +109,7 @@ func TestPlanFingerprintUncacheable(t *testing.T) {
 
 type unknownNode struct{ tbl colstore.Table }
 
-func (u unknownNode) Schema() *data.Schema        { return u.tbl.Schema() }
+func (u unknownNode) Schema() *data.Schema          { return u.tbl.Schema() }
 func (u unknownNode) Run(ctx *Ctx) (*Stream, error) { return nil, nil }
 
 // TestPlanFingerprintValuesContent: ValuesNode payload (scalar subquery

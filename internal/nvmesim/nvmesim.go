@@ -79,7 +79,7 @@ type device struct {
 	readBusy  time.Time        // read channel busy-until
 	writeBusy time.Time        // write channel busy-until
 
-	writeCursor  atomic.Int64 // spill high-water mark; the paper's per-SSD counter (§5.1)
+	writeCursor atomic.Int64 // spill high-water mark; the paper's per-SSD counter (§5.1)
 
 	// Spill allocation bookkeeping (lease.go): live extents by offset and
 	// the sorted, coalesced free list below the write cursor. allocMu is

@@ -14,9 +14,9 @@ import (
 var CurrentDate = data.ParseDate("1995-06-17")
 
 var (
-	startDate   = data.ParseDate("1992-01-01")
-	lastOrder   = data.ParseDate("1998-08-02") // ENDDATE - 151 days
-	orderDays   = lastOrder - startDate + 1
+	startDate = data.ParseDate("1992-01-01")
+	lastOrder = data.ParseDate("1998-08-02") // ENDDATE - 151 days
+	orderDays = lastOrder - startDate + 1
 )
 
 // stream is a deterministic per-column random stream: values depend only on
@@ -337,18 +337,18 @@ func (g *Gen) genOrdersAndLineitem() (*colstore.MemTable, *colstore.MemTable) {
 		oClerk = str(Orders, 6)
 		oCom   = str(Orders, 8)
 
-		lCount = str(Lineitem, 100)
-		lPart  = str(Lineitem, 1)
-		lSupp  = str(Lineitem, 2)
-		lQty   = str(Lineitem, 4)
-		lDisc  = str(Lineitem, 6)
-		lTax   = str(Lineitem, 7)
-		lShip  = str(Lineitem, 10)
+		lCount  = str(Lineitem, 100)
+		lPart   = str(Lineitem, 1)
+		lSupp   = str(Lineitem, 2)
+		lQty    = str(Lineitem, 4)
+		lDisc   = str(Lineitem, 6)
+		lTax    = str(Lineitem, 7)
+		lShip   = str(Lineitem, 10)
 		lCommit = str(Lineitem, 11)
-		lRcpt  = str(Lineitem, 12)
-		lInstr = str(Lineitem, 13)
-		lMode  = str(Lineitem, 14)
-		lCom   = str(Lineitem, 15)
+		lRcpt   = str(Lineitem, 12)
+		lInstr  = str(Lineitem, 13)
+		lMode   = str(Lineitem, 14)
+		lCom    = str(Lineitem, 15)
 	)
 
 	lineRows := 0

@@ -352,31 +352,31 @@ type SpanSnapshot struct {
 // Snapshot copies the span's current state.
 func (s *Span) Snapshot() SpanSnapshot {
 	snap := SpanSnapshot{
-		ID:              s.ID,
-		ParentID:        s.ParentID,
-		Op:              s.Op,
-		Label:           s.Label,
-		Start:           time.Duration(s.startNs),
-		End:             time.Duration(s.endNs.Load()),
-		Busy:            time.Duration(s.busyNs.Load()),
-		RowsOut:         s.rowsOut.Load(),
-		BatchesOut:      s.batchesOut.Load(),
-		TuplesStored:    s.tuplesStored.Load(),
-		SpilledBytes:    s.spilledBytes.Load(),
-		WrittenBytes:    s.writtenBytes.Load(),
-		SpillReadBytes:  s.spillReadBytes.Load(),
-		SpillRetries:    s.spillRetries.Load(),
-		SpillFailovers:  s.spillFailovers.Load(),
-		Partitioned:     s.partitioned.Load(),
-		Spilled:         s.spilled.Load(),
-		SpillStallNs:    time.Duration(s.spillStallNs.Load()),
-		PrefetchedParts: s.prefetchedParts.Load(),
-		ScanStallNs:     time.Duration(s.scanStallNs.Load()),
+		ID:                s.ID,
+		ParentID:          s.ParentID,
+		Op:                s.Op,
+		Label:             s.Label,
+		Start:             time.Duration(s.startNs),
+		End:               time.Duration(s.endNs.Load()),
+		Busy:              time.Duration(s.busyNs.Load()),
+		RowsOut:           s.rowsOut.Load(),
+		BatchesOut:        s.batchesOut.Load(),
+		TuplesStored:      s.tuplesStored.Load(),
+		SpilledBytes:      s.spilledBytes.Load(),
+		WrittenBytes:      s.writtenBytes.Load(),
+		SpillReadBytes:    s.spillReadBytes.Load(),
+		SpillRetries:      s.spillRetries.Load(),
+		SpillFailovers:    s.spillFailovers.Load(),
+		Partitioned:       s.partitioned.Load(),
+		Spilled:           s.spilled.Load(),
+		SpillStallNs:      time.Duration(s.spillStallNs.Load()),
+		PrefetchedParts:   s.prefetchedParts.Load(),
+		ScanStallNs:       time.Duration(s.scanStallNs.Load()),
 		SpillVerified:     s.spillVerified.Load(),
 		SpillChecksumErrs: s.spillChecksumErrs.Load(),
 		SpillReconstructs: s.spillReconstructs.Load(),
-		RegLevelChanges: s.regLevelChanges.Load(),
-		RegMaxLevel:     s.regMaxLevel.Load(),
+		RegLevelChanges:   s.regLevelChanges.Load(),
+		RegMaxLevel:       s.regMaxLevel.Load(),
 	}
 	s.schemesMu.Lock()
 	if len(s.schemes) > 0 {
